@@ -108,31 +108,198 @@ def replay_corrections(
 
 
 class PipelineDriver:
-    """The source → process → emit → sink driver loop shared by the runtimes.
+    """The ingest front and the source → emit → sink loop of both runtimes.
 
-    Subclasses provide the runtime interface the loop is written against:
-    ``process(event)`` / ``flush()`` / ``checkpoint()`` /
-    ``take_late_events()`` / ``drain_pending()`` -- both
+    :meth:`_ingest` is the one ingest front: push → late and punctuation
+    accounting → release → watermark → metrics, written once for
     :class:`StreamingRuntime` and
-    :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
-    examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
-    ingestion loops.  :meth:`drive` is the lazy form (a generator of
-    emission records), :meth:`run` the eager one (collect, or push into a
-    :class:`~repro.streaming.sources.Sink`).
+    :class:`~repro.streaming.sharded.ShardedRuntime`.  A runtime supplies
+    its execution backend as two steps -- ``_execute_wave(released,
+    watermark)`` for a released wave and ``_advance_emission(watermark)``
+    for a watermark advance -- plus, for the sharded parent, an
+    ``_after_push()`` step (rebalance/replan checks, shipping,
+    backpressure).  :meth:`process` is a one-event slice of
+    ``process_batch``.
 
-    The loop is batch-grained: events are pulled from the source in slices
-    of :attr:`decode_batch_size` (see
+    On top of the front sits the driver loop the CLI, examples,
+    benchmarks and :meth:`CograEngine.stream` share: :meth:`drive` is the
+    lazy form (a generator of emission records), :meth:`run` the eager one
+    (collect, or push into a :class:`~repro.streaming.sources.Sink`).
+    Events are pulled from the source in slices of
+    :attr:`decode_batch_size` (see
     :meth:`~repro.streaming.sources.EventSource.batches`; latency-sensitive
     live sources yield singleton slices) and pushed through
-    ``process_batch`` -- semantically identical to per-event ``process``
-    but with the per-event overhead amortised.  Slices are split at
-    checkpoint-interval boundaries so periodic checkpoints still land at
-    exact ingested-event counts.
+    ``process_batch``.  Slices are split at checkpoint-interval boundaries
+    so periodic checkpoints still land at exact ingested-event counts.
     """
 
     #: default slice size for :meth:`drive`'s source pulls; overridden per
     #: job via ``JobConfig.batch.decode_batch_size``
     decode_batch_size = 256
+
+    #: per-push backend step after execute/advance (None: nothing to do)
+    _after_push: Optional[Callable[[], None]] = None
+
+    def __init__(
+        self,
+        lateness: float,
+        watermark_strategy: Optional[WatermarkStrategy],
+        late_policy: Union[LatePolicy, str, None],
+        observability: Optional[Observability],
+    ):
+        # the constructor kwargs are one corner of the declarative JobConfig
+        # API: normalising them through the component specs keeps defaults
+        # and validation in exactly one place (repro.streaming.config)
+        late = LatenessConfig.of(late_policy)
+        strategy = watermark_strategy or WatermarkConfig(lateness=lateness).build()
+        self._ingestor = OutOfOrderIngestor(strategy, late.resolved_policy)
+        self.metrics = StreamingMetrics()
+        self.observability = observability or Observability()
+        #: records made but not yet returned; a raising late policy parks
+        #: the records of the slice's earlier events here until the next
+        #: ``process_batch``, ``drain_pending`` or ``flush``
+        self._ready_records: List[EmissionRecord] = []
+
+    # -- the ingest front ------------------------------------------------------
+
+    def process(self, event: Event) -> List[EmissionRecord]:
+        """Ingest one (possibly out-of-order) event: a one-event slice."""
+        return self.process_batch([event])
+
+    def _ingest(self, events: List[Event]) -> None:
+        """Push a slice through the reorder buffer and the execution backend.
+
+        Per-event metric observes are amortised into per-slice totals,
+        recorded even when a raising late policy aborts the slice; records
+        made before the raising event stay in :attr:`_ready_records`.  A
+        sampled event gets one ``event`` root span with ``ingest``,
+        ``route`` and ``emit`` children around the same calls an unsampled
+        event makes, so tracing never changes the code that runs.
+        """
+        ingestor = self._ingestor
+        push = ingestor.push
+        start_trace = self.observability.start_trace
+        execute = self._execute_wave
+        advance = self._advance_emission
+        after_push = self._after_push
+        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
+        ingested = punctuations = released_total = 0
+        late_dropped = late_rerouted = 0
+        max_time = watermark_seen = -math.inf
+        buffered_peak = -1
+        trace = None
+        try:
+            for event in events:
+                trace = start_trace("event")
+                span = None
+                if trace is not None:
+                    trace.annotate(event_type=event.event_type, event_time=event.time)
+                    span = trace.child("ingest")
+                try:
+                    batch = push(event)
+                except LateEventError:
+                    # the raising policy still accounts for the event, so
+                    # metrics stay consistent with drop and side-channel
+                    ingested += 1
+                    if event.time > max_time:
+                        max_time = event.time
+                    buffered_peak = max(buffered_peak, len(ingestor))
+                    late_dropped += 1
+                    if span is not None:
+                        span.annotate(late=True)
+                        span.finish()
+                    raise
+                if span is not None:
+                    span.annotate(
+                        released=len(batch.released),
+                        late=batch.late_event is not None,
+                        punctuation=batch.punctuation,
+                    )
+                    span.finish()
+                if batch.punctuation:
+                    punctuations += 1
+                else:
+                    ingested += 1
+                    if event.time > max_time:
+                        max_time = event.time
+                    if batch.buffered > buffered_peak:
+                        buffered_peak = batch.buffered
+                if batch.late_event is not None:
+                    if reroutes:
+                        late_rerouted += 1
+                    else:
+                        late_dropped += 1
+                else:
+                    released = batch.released
+                    if released:
+                        released_total += len(released)
+                        if trace is None:
+                            execute(released, batch.watermark)
+                        else:
+                            with trace.child("route", events=len(released)):
+                                execute(released, batch.watermark)
+                    if batch.advanced:
+                        watermark_seen = batch.watermark
+                        if trace is None:
+                            advance(watermark_seen)
+                        else:
+                            with trace.child("emit", watermark=watermark_seen):
+                                advance(watermark_seen)
+                    if after_push is not None:
+                        after_push()
+                if trace is not None:
+                    trace.finish()
+        finally:
+            if trace is not None:
+                trace.finish()  # idempotent: closes a root an error cut short
+            metrics = self.metrics
+            metrics.record_punctuation(punctuations)
+            metrics.record_ingest_batch(ingested, max_time, buffered_peak)
+            metrics.record_late_batch(late_dropped, late_rerouted)
+            if released_total:
+                metrics.record_release(released_total)
+            if watermark_seen > -math.inf:
+                metrics.record_watermark(watermark_seen)
+
+    def _take_ready(self) -> List[EmissionRecord]:
+        """Return and clear the records made since the last hand-out."""
+        ready = self._ready_records
+        self._ready_records = []
+        return ready
+
+    def drain_pending(self) -> List[EmissionRecord]:
+        """Records made outside a returning ``process_batch`` call.
+
+        Records parked by a raising late policy, and -- in the sharded
+        runtime -- records that became ready while a checkpoint or metrics
+        pull quiesced the workers.
+        """
+        return self._take_ready()
+
+    @property
+    def watermark(self) -> float:
+        """Current watermark of the ingestion layer."""
+        return self._ingestor.watermark
+
+    @property
+    def buffered_events(self) -> int:
+        """Events currently held in the reorder buffer."""
+        return len(self._ingestor)
+
+    @property
+    def late_events(self) -> List[Event]:
+        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
+        return list(self._ingestor.side_channel)
+
+    def take_late_events(self) -> List[Event]:
+        """Drain (return and clear) the late-event side channel.
+
+        Long-running jobs call this periodically to reprocess or persist
+        late events without the side channel growing without bound.
+        """
+        return self._ingestor.take_side_channel()
+
+    # -- the driver loop -------------------------------------------------------
 
     def drive(
         self,
@@ -421,7 +588,14 @@ class DriveSession:
             chunk = batch if start == 0 and end == total else batch[start:end]
             self.processed += end - start
             start = end
-            yield from driver.process_batch(chunk)
+            try:
+                records = driver.process_batch(chunk)
+            except LateEventError:
+                # the records of the events before the raising one are
+                # parked in the runtime; deliver them before the error
+                yield from driver.drain_pending()
+                raise
+            yield from records
             if self._on_late is not None:
                 late = driver.take_late_events()
                 if late:
@@ -556,15 +730,8 @@ class StreamingRuntime(PipelineDriver):
         observability: Optional[Observability] = None,
         replan=None,
     ):
-        # the constructor kwargs are one corner of the declarative JobConfig
-        # API: normalising them through the component specs keeps defaults
-        # and validation in exactly one place (repro.streaming.config)
-        late = LatenessConfig.of(late_policy)
-        strategy = watermark_strategy or WatermarkConfig(lateness=lateness).build()
-        self._ingestor = OutOfOrderIngestor(strategy, late.resolved_policy)
+        super().__init__(lateness, watermark_strategy, late_policy, observability)
         self._controller = EmissionController()
-        self.observability = observability or Observability()
-        self.metrics = StreamingMetrics()
         self._emit_empty_groups = emit_empty_groups
         self._queries: List[RegisteredQuery] = []
         self._by_name: Dict[str, RegisteredQuery] = {}
@@ -678,209 +845,53 @@ class StreamingRuntime(PipelineDriver):
                 "(start a new runtime, or restore a checkpoint)"
             )
 
-    def process(self, event: Event) -> List[EmissionRecord]:
-        """Ingest one (possibly out-of-order) event; return emitted results."""
-        # the sampling decision is one attribute check in the common
-        # (tracing off / unsampled) case; a sampled event records a span
-        # tree ingest -> route -> execute -> emit under this root
-        trace = self.observability.start_trace(
-            "event", event_type=event.event_type, event_time=event.time
-        )
-        if trace is None:
-            records = self._process(event, None)
-        else:
-            with trace:
-                records = self._process(event, trace)
-                trace.annotate(records=len(records))
-        if self._replan_policy is not None and self._replan_controller.due(1):
-            self._replan_now()
-        return records
-
-    def _process(self, event: Event, trace) -> List[EmissionRecord]:
-        self._check_processable()
-        span = trace.child("ingest") if trace is not None else None
-        try:
-            batch = self._ingestor.push(event)
-        except LateEventError:
-            # the raising policy still accounts for the event, so metrics
-            # stay consistent with the drop/side-channel paths
-            self.metrics.record_ingest(event.time, len(self._ingestor))
-            self.metrics.record_late(rerouted=False)
-            if span is not None:
-                span.annotate(late=True)
-                span.finish()
-            raise
-        if span is not None:
-            span.annotate(
-                released=len(batch.released),
-                late=batch.late_event is not None,
-                punctuation=batch.punctuation,
-            )
-            span.finish()
-        if batch.punctuation:
-            self.metrics.record_punctuation()
-        else:
-            # batch.buffered is post-push occupancy from the ingestor itself;
-            # late events never entered the buffer and do not inflate it
-            self.metrics.record_ingest(event.time, batch.buffered)
-        if batch.late_event is not None:
-            self.metrics.record_late(
-                rerouted=self._ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-            )
-            return []
-
-        records: List[EmissionRecord] = []
-        if batch.released:
-            self.metrics.record_release(len(batch.released))
-            started = _time.perf_counter()
-            if trace is None:
-                for released in batch.released:
-                    records.extend(self._route(released, batch.watermark))
-            else:
-                with trace.child("route", events=len(batch.released)) as route:
-                    for released in batch.released:
-                        with route.child("execute", event_type=released.event_type):
-                            records.extend(self._route(released, batch.watermark))
-            self.metrics.record_processing_seconds(_time.perf_counter() - started)
-        if batch.advanced:
-            self.metrics.record_watermark(batch.watermark)
-            span = (
-                trace.child("emit", watermark=batch.watermark)
-                if trace is not None
-                else None
-            )
-            for registered in self._queries:
-                emitted = self._controller.advance(
-                    registered.name, registered.executor, batch.watermark
-                )
-                if emitted:
-                    if registered.instruments is not None:
-                        registered.instruments.results.inc(len(emitted))
-                    records.extend(emitted)
-            if span is not None:
-                span.finish()
-        self.metrics.record_emission(len(records))
-        return records
-
     def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
-        """Ingest a slice of (possibly out-of-order) events in one frame.
+        """Ingest a slice of (possibly out-of-order) events; return emissions.
 
-        Semantically identical to concatenating :meth:`process` over the
-        slice -- same records in the same order, same watermark and window
-        emission timing -- but the per-event bookkeeping (tracing checks,
-        metric observes, route lookups) is amortised over the slice and
-        released waves are fed to the executors as same-``(type, key)``
-        runs.  With tracing enabled the per-event path is used so span
-        trees stay per event.
+        The slice runs through the shared ingest front
+        (:meth:`PipelineDriver._ingest`); released waves are fed to the
+        executors as same-``(type, key)`` runs.  :meth:`process` is the
+        one-event slice of this method.  When a raising late policy aborts
+        the slice, the records of its earlier events are returned by the
+        next ``process_batch``, :meth:`drain_pending` or :meth:`flush`.
         """
-        if not events:
-            self._check_processable()
-            return []
-        if self.observability.tracer.enabled:
-            records: List[EmissionRecord] = []
-            for event in events:
-                records.extend(self.process(event))
-            return records
         self._check_processable()
-        metrics = self.metrics
-        ingestor = self._ingestor
-        push = ingestor.push
-        queries = self._queries
-        advance = self._controller.advance
-        perf_counter = _time.perf_counter
-        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-        records = []
-        ingested = 0
-        punctuations = 0
-        max_time = -math.inf
-        buffered_peak = -1
-        released_total = 0
-        late_dropped = 0
-        late_rerouted = 0
-        processing = 0.0
-        watermark_seen = -math.inf
-        try:
-            for event in events:
-                try:
-                    batch = push(event)
-                except LateEventError:
-                    # match the per-event path's accounting for the
-                    # raising event before the error propagates
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    buffered = len(ingestor)
-                    if buffered > buffered_peak:
-                        buffered_peak = buffered
-                    late_dropped += 1
-                    raise
-                if batch.punctuation:
-                    punctuations += 1
-                else:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    if batch.buffered > buffered_peak:
-                        buffered_peak = batch.buffered
-                if batch.late_event is not None:
-                    if reroutes:
-                        late_rerouted += 1
-                    else:
-                        late_dropped += 1
-                    continue
-                released = batch.released
-                if released:
-                    released_total += len(released)
-                    started = perf_counter()
-                    self._route_slice(released, batch.watermark, records)
-                    processing += perf_counter() - started
-                if batch.advanced:
-                    watermark = batch.watermark
-                    if watermark > watermark_seen:
-                        watermark_seen = watermark
-                    for registered in queries:
-                        emitted = advance(
-                            registered.name, registered.executor, watermark
-                        )
-                        if emitted:
-                            if registered.instruments is not None:
-                                registered.instruments.results.inc(len(emitted))
-                            records.extend(emitted)
-        finally:
-            # flush the amortised counters even when a raising late policy
-            # aborts the slice, so totals match the per-event path exactly
-            if punctuations:
-                metrics.record_punctuation(punctuations)
-            if ingested:
-                metrics.record_ingest_batch(ingested, max_time, buffered_peak)
-            if late_dropped or late_rerouted:
-                metrics.record_late_batch(late_dropped, late_rerouted)
-            if released_total:
-                metrics.record_release(released_total)
-                metrics.record_processing_seconds(processing)
-            if watermark_seen > -math.inf:
-                metrics.record_watermark(watermark_seen)
-            metrics.record_emission(len(records))
+        self._ingest(events)
         if self._replan_policy is not None and self._replan_controller.due(
             len(events)
         ):
             self._replan_now()
+        return self._take_ready()
+
+    def _advance_emission(self, watermark: float) -> None:
+        """Emit every window the watermark closed into the ready list."""
+        advance = self._controller.advance
+        ready = self._ready_records
+        for registered in self._queries:
+            emitted = advance(registered.name, registered.executor, watermark)
+            if emitted:
+                if registered.instruments is not None:
+                    registered.instruments.results.inc(len(emitted))
+                ready.extend(emitted)
+
+    def _take_ready(self) -> List[EmissionRecord]:
+        """Hand out the ready records, counting them as emitted."""
+        records = super()._take_ready()
+        self.metrics.record_emission(len(records))
         return records
 
-    def _route_slice(
-        self,
-        released: List[Event],
-        watermark: float,
-        records: List[EmissionRecord],
-    ) -> None:
+    def _execute_wave(self, released: List[Event], watermark: float) -> None:
         """Route a released wave grouped into consecutive same-type runs.
 
         Runs during which no target query can emit (see
         :meth:`QueryExecutor.batch_is_quiet`) are fed to the executors as
         whole same-``(type, partition-key)`` sub-runs; anything else falls
         back to the per-event :meth:`_route`, so record content and order
-        never differ from the per-event path.
+        never differ from routing event by event.  Records go to the ready
+        list; the wave's wall time counts as executor processing.
         """
+        started = _time.perf_counter()
+        records = self._ready_records
         count = len(released)
         route = self._route
         resolved = self._resolved_routes
@@ -915,6 +926,7 @@ class StreamingRuntime(PipelineDriver):
                 continue
             for registered in targets:
                 self._apply_run(registered, run, watermark, records)
+        self.metrics.record_processing_seconds(_time.perf_counter() - started)
 
     def _apply_run(
         self,
@@ -966,7 +978,6 @@ class StreamingRuntime(PipelineDriver):
         an ingestor push that released events without moving the watermark.
         """
         self._check_processable()
-        records: List[EmissionRecord] = []
         context = (
             self._ordered_watermark
             if watermark is None
@@ -976,58 +987,34 @@ class StreamingRuntime(PipelineDriver):
             events = list(events)
         count = len(events)
         if count:
-            started = _time.perf_counter()
-            self._route_slice(events, context, records)
             self.metrics.record_release(count)
-            self.metrics.record_processing_seconds(_time.perf_counter() - started)
+            self._execute_wave(events, context)
         if watermark is not None and watermark > self._ordered_watermark:
             self._ordered_watermark = watermark
             self.metrics.record_watermark(watermark)
-            for registered in self._queries:
-                emitted = self._controller.advance(
-                    registered.name, registered.executor, watermark
-                )
-                if emitted:
-                    if registered.instruments is not None:
-                        registered.instruments.results.inc(len(emitted))
-                    records.extend(emitted)
-        self.metrics.record_emission(len(records))
+            self._advance_emission(watermark)
         if self._replan_policy is not None and self._replan_controller.due(count):
             self._replan_now()
-        return records
+        return self._take_ready()
 
     def flush(self) -> List[EmissionRecord]:
         """Drain the reorder buffer and close every open window."""
         self._check_processable(require_open=False)
-        records: List[EmissionRecord] = []
         remaining = self._ingestor.drain()
         if remaining:
             self.metrics.record_release(len(remaining))
-            started = _time.perf_counter()
-            for released in remaining:
-                # drained events run past the watermark; windows they close
-                # are end-of-stream emissions, so the record context is inf
-                # (a stale finite watermark would violate wm >= window_end)
-                records.extend(self._route(released, math.inf))
-            self.metrics.record_processing_seconds(_time.perf_counter() - started)
+            # drained events run past the watermark; windows they close are
+            # end-of-stream emissions, so the record context is inf (a
+            # stale finite watermark would violate wm >= window_end)
+            self._execute_wave(remaining, math.inf)
         for registered in self._queries:
             closed = self._controller.close(registered.name, registered.executor)
             if closed:
                 if registered.instruments is not None:
                     registered.instruments.results.inc(len(closed))
-                records.extend(closed)
-        self.metrics.record_emission(len(records))
+                self._ready_records.extend(closed)
         self._flushed = True
-        return records
-
-    def drain_pending(self) -> List[EmissionRecord]:
-        """Records merged outside :meth:`process` calls -- none here.
-
-        Exists so the :class:`PipelineDriver` loop can treat this runtime
-        and the asynchronous :class:`~repro.streaming.sharded.ShardedRuntime`
-        uniformly.
-        """
-        return []
+        return self._take_ready()
 
     def _route(self, event: Event, watermark: float) -> List[EmissionRecord]:
         """Deliver one in-order event to the queries its type can affect.
@@ -1088,29 +1075,6 @@ class StreamingRuntime(PipelineDriver):
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def watermark(self) -> float:
-        """Current watermark of the ingestion layer."""
-        return self._ingestor.watermark
-
-    @property
-    def buffered_events(self) -> int:
-        """Events currently held in the reorder buffer."""
-        return len(self._ingestor)
-
-    @property
-    def late_events(self) -> List[Event]:
-        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
-        return list(self._ingestor.side_channel)
-
-    def take_late_events(self) -> List[Event]:
-        """Drain (return and clear) the late-event side channel.
-
-        Long-running jobs call this periodically to reprocess or persist
-        late events without the side channel growing without bound.
-        """
-        return self._ingestor.take_side_channel()
-
     def reprocess_late(self) -> List[EmissionRecord]:
         """Replay the side channel; emit correction records for its windows.
 
@@ -1130,7 +1094,7 @@ class StreamingRuntime(PipelineDriver):
         stream is live and after :meth:`flush`.
         """
         self._check_processable(require_open=False)
-        late = self._ingestor.take_side_channel()
+        late = self.take_late_events()
         if not late:
             return []
         replay = StreamingRuntime(lateness=0.0)
@@ -1353,6 +1317,7 @@ class StreamingRuntime(PipelineDriver):
             raise CheckpointError(f"cannot restore checkpoint: {exc}") from exc
         self._poisoned = False
         self._flushed = False
+        self._ready_records = []
         # ordered-mode emission resumes from the restored watermark
         self._ordered_watermark = self.metrics.watermark
         self._observe_lifecycle("restore", _time.perf_counter() - started)

@@ -89,7 +89,7 @@ from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
 from repro.core.parallel import shard_index
 from repro.core.results import GroupResult
-from repro.errors import CheckpointError, LateEventError, WorkerCrashError
+from repro.errors import CheckpointError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
@@ -101,20 +101,9 @@ from repro.streaming.checkpoint import (
     snapshot_executor,
     split_executor_snapshot,
 )
-from repro.streaming.config import (
-    BackpressureConfig,
-    LatenessConfig,
-    RebalanceConfig,
-    ShardConfig,
-    WatermarkConfig,
-)
+from repro.streaming.config import BackpressureConfig, RebalanceConfig, ShardConfig
 from repro.streaming.emission import EmissionRecord
-from repro.streaming.ingest import (
-    LatePolicy,
-    OutOfOrderIngestor,
-    WatermarkStrategy,
-)
-from repro.streaming.metrics import StreamingMetrics
+from repro.streaming.ingest import LatePolicy, WatermarkStrategy
 from repro.streaming.observability import (
     Observability,
     finalize_snapshot,
@@ -562,7 +551,6 @@ def _worker_loop(
     inbox,
     outbox,
     obs_enabled: bool = True,
-    ship_serialized: bool = False,
 ) -> None:
     """Body of one worker process.
 
@@ -572,12 +560,10 @@ def _worker_loop(
     Takes plain queue-like objects so tests can run it synchronously in
     process with pre-loaded :class:`queue.Queue` instances.
 
-    With ``ship_serialized`` the parent ships each wave's events as one
-    pre-pickled blob (``bytes`` in the message slot) decoded here once per
-    wave, and this worker blob-encodes the emission records of its batch and
-    flush acknowledgements the same way.  Event payloads are detected by
-    type, so a mixed stream of blob and plain waves (e.g. a replay recorded
-    under a different setting) still decodes correctly.
+    The parent ships each non-empty wave's events as one pre-pickled blob
+    (``bytes`` in the message slot) decoded here once per wave, and this
+    worker blob-encodes the emission records of its batch and flush
+    acknowledgements the same way.
 
     The worker's observability counts events/matches/latency but *not*
     results (``count_results=False``): emitted records ship to the parent,
@@ -608,7 +594,7 @@ def _worker_loop(
                 if type(events) is bytes:
                     events = _decode_event_blob(events)
                 records = runtime.process_ordered(events, watermark)
-                if ship_serialized and records:
+                if records:
                     records = _encode_record_blob(records)
                 outbox.put(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
@@ -622,7 +608,7 @@ def _worker_loop(
                     events = _decode_event_blob(events)
                 records = runtime.process_ordered(events, math.inf)
                 records.extend(runtime.flush())
-                if ship_serialized and records:
+                if records:
                     records = _encode_record_blob(records)
                 outbox.put(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
@@ -761,14 +747,6 @@ class ShardedRuntime(PipelineDriver):
         The block is accounted as ``backpressure_waits`` /
         ``backpressure_seconds`` in :attr:`metrics`.  Mirrors the
         ``backpressure.max_inflight`` JobConfig field.
-    ship_serialized:
-        Ship each wave of events as one pre-pickled blob per worker (and
-        blob-encode acknowledgement records the same way) instead of letting
-        the IPC queue pickle ``Event`` objects one by one.  On by default;
-        disable it (``batch.ship_serialized`` in JobConfig, or here) when
-        debugging the wire protocol -- plain messages are inspectable in
-        queue dumps and tracebacks, blobs are not.  Results are identical
-        either way.
     replan:
         Adaptive granularity re-planning: a
         :class:`~repro.streaming.replan.ReplanPolicy`, a
@@ -793,7 +771,6 @@ class ShardedRuntime(PipelineDriver):
         rebalance: Union["RebalancePolicy", RebalanceConfig, Dict, None] = None,
         max_inflight: int = 64,
         observability: Optional[Observability] = None,
-        ship_serialized: bool = True,
         replan=None,
     ):
         # the kwargs are one corner of the declarative JobConfig API: the
@@ -809,25 +786,15 @@ class ShardedRuntime(PipelineDriver):
             start_method=start_method,
             rebalance=RebalanceConfig() if rebalance is None else rebalance,
         )
-        late = LatenessConfig.of(late_policy)
         self.workers = shards.workers
-        strategy = watermark_strategy or WatermarkConfig(lateness=lateness).build()
-        self._ingestor = OutOfOrderIngestor(strategy, late.resolved_policy)
-        self.metrics = StreamingMetrics()
-        #: parent-side observability: per-shard shipping instruments,
-        #: lifecycle timers/spans, and the results counters (workers count
-        #: events/matches/latency; the parent counts results exactly once,
-        #: after replay deduplication).  Pass ``Observability.disabled()``
-        #: to strip the instrumentation.
-        self.observability = observability or Observability()
+        # parent-side observability: per-shard shipping instruments,
+        # lifecycle timers/spans, and the results counters (workers count
+        # events/matches/latency; the parent counts results exactly once,
+        # after replay deduplication); ``Observability.disabled()`` strips it
+        super().__init__(lateness, watermark_strategy, late_policy, observability)
         self._emit_empty_groups = emit_empty_groups
         self._ship_interval = ship_interval
         self._max_batch = max_batch
-        if not isinstance(ship_serialized, bool):
-            raise ValueError(
-                f"ship_serialized must be a boolean, got {ship_serialized!r}"
-            )
-        self._ship_serialized = ship_serialized
         #: epochs allowed in flight before ingestion blocks on worker acks
         #: (validated by the owning BackpressureConfig section)
         self._max_inflight = BackpressureConfig(max_inflight=max_inflight).max_inflight
@@ -889,7 +856,6 @@ class ShardedRuntime(PipelineDriver):
         self._epoch = 0
         self._inflight: Dict[int, _Epoch] = {}
         self._outboxes: List[List[Event]] = []
-        self._ready_records: List[EmissionRecord] = []
         self._emitted_counts: Dict[str, int] = {}
         self.shard_stats: List[ShardStats] = []
         #: cached per-shard instrument bundles (None entries when disabled)
@@ -1036,7 +1002,6 @@ class ShardedRuntime(PipelineDriver):
                     self._inboxes[shard],
                     self._ack_queues[shard],
                     self.observability.enabled,
-                    self._ship_serialized,
                 ),
                 daemon=True,
                 name=f"cogra-shard-{shard}",
@@ -1282,7 +1247,6 @@ class ShardedRuntime(PipelineDriver):
                     self._inboxes[shard],
                     self._ack_queues[shard],
                     self.observability.enabled,
-                    self._ship_serialized,
                 ),
                 daemon=True,
                 name=f"cogra-shard-{shard}-r{self.restart_counts[shard]}",
@@ -1521,11 +1485,7 @@ class ShardedRuntime(PipelineDriver):
         payloads = {}
         for shard in shards:
             events = self._outboxes[shard]
-            payload = (
-                _encode_event_blob(events)
-                if self._ship_serialized and events
-                else events
-            )
+            payload = _encode_event_blob(events) if events else events
             payloads[shard] = ("batch", self._epoch, payload, watermark)
             self.shard_stats[shard].record_shipment(len(events))
             instruments = self._shard_instruments[shard]
@@ -1906,79 +1866,46 @@ class ShardedRuntime(PipelineDriver):
                 "new ShardedRuntime (and restore a checkpoint there if desired)"
             )
 
-    def process(self, event: Event) -> List[EmissionRecord]:
-        """Ingest one (possibly out-of-order) event; return merged emissions.
+    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
+        """Ingest an arrival-ordered slice of events; return merged emissions.
 
-        Emission is asynchronous: records surface once the owning worker has
-        acknowledged the batch and every earlier epoch is complete, so a
-        given call may return results triggered by earlier events.  All
-        records are delivered by the end of :meth:`flush`.
+        The slice runs through the shared ingest front
+        (:meth:`PipelineDriver._ingest`); :meth:`process` is its one-event
+        slice.  Shipping decisions (``ship_interval``, ``max_batch``,
+        backpressure) happen per push, while acknowledgements are drained
+        once per slice.  Emission is asynchronous: records surface once the
+        owning worker has acknowledged the batch and every earlier epoch is
+        complete, so a call may return results triggered by earlier events.
+        All records are delivered by the end of :meth:`flush`.
         """
         self._check_usable()
+        if not events:
+            return []
         if not self._started:
             self._start()
-        trace = self.observability.start_trace(
-            "event", event_type=event.event_type, event_time=event.time
-        )
-        if trace is None:
-            return self._process(event, None)
-        with trace:
-            records = self._process(event, trace)
-            trace.annotate(records=len(records))
-            return records
+        self._ingest(events)
+        self._drain_acks(block=False)
+        return self._take_ready()
 
-    def _process(self, event: Event, trace) -> List[EmissionRecord]:
-        """Body of :meth:`process`; ``trace`` is a sampled root span or None.
+    def _execute_wave(self, released: List[Event], watermark: float) -> None:
+        """Route a released wave into the owning workers' outboxes."""
+        self._route_released(released)
 
-        Parent-side spans cover ingest and route/ship; per-event execution
-        happens inside the worker processes and shows up in their latency
-        histograms instead.
-        """
-        ingest = None if trace is None else trace.child("ingest")
-        try:
-            batch = self._ingestor.push(event)
-        except LateEventError:
-            self.metrics.record_ingest(event.time, len(self._ingestor))
-            self.metrics.record_late(rerouted=False)
-            if ingest is not None:
-                ingest.annotate(late=True)
-                ingest.finish()
-            raise
-        if batch.punctuation:
-            self.metrics.record_punctuation()
-        else:
-            self.metrics.record_ingest(event.time, batch.buffered)
-        if ingest is not None:
-            ingest.annotate(
-                released=len(batch.released),
-                late=batch.late_event is not None,
-                punctuation=batch.punctuation,
-            )
-            ingest.finish()
-        if batch.late_event is not None:
-            self.metrics.record_late(
-                rerouted=self._ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-            )
-            return self._take_ready()
-        if batch.released:
-            self.metrics.record_release(len(batch.released))
-            if trace is None:
-                self._route_released(batch.released)
-            else:
-                with trace.child("route", events=len(batch.released)):
-                    self._route_released(batch.released)
-        if batch.advanced:
-            self.metrics.record_watermark(batch.watermark)
-            self._pending_watermark = batch.watermark
+    def _advance_emission(self, watermark: float) -> None:
+        """Stamp the next shipped wave with the advanced watermark."""
+        self._pending_watermark = watermark
+
+    def _after_push(self) -> None:
+        """Per push: rebalance/replan checks, shipping, then backpressure."""
         self._maybe_rebalance()
         self._maybe_replan()
         self._pushes_since_ship += 1
-        if self._pushes_since_ship >= self._ship_interval:
+        if self._pushes_since_ship >= self._ship_interval or any(
+            len(outbox) >= self._max_batch for outbox in self._outboxes
+        ):
             # carries the newest watermark (coalescing intermediate ones:
             # emitting windows at a later watermark changes when results
             # appear, never which results appear)
-            self._ship_outboxes(self._pending_watermark)
-        elif any(len(outbox) >= self._max_batch for outbox in self._outboxes):
             self._ship_outboxes(self._pending_watermark)
         if len(self._inflight) > self._max_inflight:
             # bounded inboxes: block ingestion until the workers drain below
@@ -1988,116 +1915,14 @@ class ShardedRuntime(PipelineDriver):
                 self._apply_ack(self._next_ack())
                 self._release_ready_epochs()
             self.metrics.record_backpressure(_time.perf_counter() - blocked_at)
-        self._drain_acks(block=False)
-        return self._take_ready()
-
-    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
-        """Ingest an arrival-ordered slice of events; ≡ per-event :meth:`process`.
-
-        The driver loop's batch entry point.  Ingest/route/ship runs in one
-        fused loop with the per-event metric observes amortised into
-        per-slice totals, and -- the big win -- acknowledgements are drained
-        once per slice instead of once per event, so the parent stops
-        serialising on the ack-buffer lock between consecutive pushes.
-        Shipping decisions (``ship_interval``, ``max_batch``, backpressure)
-        still happen per push, so wave boundaries, watermark stamps and the
-        records they produce are identical to the per-event path.
-        """
-        self._check_usable()
-        if not events:
-            return []
-        if not self._started:
-            self._start()
-        if self.observability.tracer.enabled:
-            # sampled tracing wants one root span per event: keep the
-            # traced path on the per-event call
-            records: List[EmissionRecord] = []
-            for event in events:
-                records.extend(self.process(event))
-            return records
-        ingestor = self._ingestor
-        push = ingestor.push
-        metrics = self.metrics
-        perf_counter = _time.perf_counter
-        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-        ingested = punctuations = released_total = 0
-        late_dropped = late_rerouted = 0
-        max_time = -math.inf
-        buffered_peak = -1
-        watermark_seen = -math.inf
-        try:
-            for event in events:
-                try:
-                    batch = push(event)
-                except LateEventError:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    buffered = len(ingestor)
-                    if buffered > buffered_peak:
-                        buffered_peak = buffered
-                    late_dropped += 1
-                    raise
-                if batch.punctuation:
-                    punctuations += 1
-                else:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    if batch.buffered > buffered_peak:
-                        buffered_peak = batch.buffered
-                if batch.late_event is not None:
-                    if reroutes:
-                        late_rerouted += 1
-                    else:
-                        late_dropped += 1
-                    continue
-                if batch.released:
-                    released_total += len(batch.released)
-                    self._route_released(batch.released)
-                if batch.advanced:
-                    watermark_seen = batch.watermark
-                    self._pending_watermark = batch.watermark
-                self._maybe_rebalance()
-                self._maybe_replan()
-                self._pushes_since_ship += 1
-                if self._pushes_since_ship >= self._ship_interval:
-                    self._ship_outboxes(self._pending_watermark)
-                elif any(
-                    len(outbox) >= self._max_batch for outbox in self._outboxes
-                ):
-                    self._ship_outboxes(self._pending_watermark)
-                if len(self._inflight) > self._max_inflight:
-                    blocked_at = perf_counter()
-                    while len(self._inflight) > self._max_inflight:
-                        self._apply_ack(self._next_ack())
-                        self._release_ready_epochs()
-                    metrics.record_backpressure(perf_counter() - blocked_at)
-        finally:
-            # flushed even when a LateEventError aborts the slice, so the
-            # counters match the per-event path's totals exactly
-            metrics.record_punctuation(punctuations)
-            metrics.record_ingest_batch(ingested, max_time, buffered_peak)
-            metrics.record_late_batch(late_dropped, late_rerouted)
-            if released_total:
-                metrics.record_release(released_total)
-            if watermark_seen != -math.inf:
-                metrics.record_watermark(watermark_seen)
-        self._drain_acks(block=False)
-        return self._take_ready()
-
-    def _take_ready(self) -> List[EmissionRecord]:
-        ready = self._ready_records
-        self._ready_records = []
-        return ready
 
     def drain_pending(self) -> List[EmissionRecord]:
-        """Collect records merged outside :meth:`process` calls.
+        """Collect records merged outside :meth:`process_batch` calls.
 
         Emission is asynchronous, so records can become ready while a
         :meth:`checkpoint` quiesces the workers; callers interleaving
         checkpoints with processing use this to pick them up immediately
-        instead of waiting for the next :meth:`process` return.
+        instead of waiting for the next :meth:`process_batch` return.
         """
         self._check_usable()
         if not self._started:
@@ -2119,11 +1944,7 @@ class ShardedRuntime(PipelineDriver):
         payloads = {}
         for shard in range(self.shard_count):
             events = self._outboxes[shard]
-            payload = (
-                _encode_event_blob(events)
-                if self._ship_serialized and events
-                else events
-            )
+            payload = _encode_event_blob(events) if events else events
             payloads[shard] = ("flush", self._epoch, payload)
             self.shard_stats[shard].record_shipment(len(events))
             self._outboxes[shard] = []
@@ -2144,25 +1965,6 @@ class ShardedRuntime(PipelineDriver):
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def watermark(self) -> float:
-        """Current watermark of the (parent) ingestion layer."""
-        return self._ingestor.watermark
-
-    @property
-    def buffered_events(self) -> int:
-        """Events currently held in the parent reorder buffer."""
-        return len(self._ingestor)
-
-    @property
-    def late_events(self) -> List[Event]:
-        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
-        return list(self._ingestor.side_channel)
-
-    def take_late_events(self) -> List[Event]:
-        """Drain (return and clear) the late-event side channel."""
-        return self._ingestor.take_side_channel()
-
     def reprocess_late(self) -> List[EmissionRecord]:
         """Replay the side channel; emit correction records for its windows.
 
@@ -2177,7 +1979,7 @@ class ShardedRuntime(PipelineDriver):
                 "this sharded runtime was closed after a failure; create a "
                 "new runtime (and restore the last checkpoint if desired)"
             )
-        late = self._ingestor.take_side_channel()
+        late = self.take_late_events()
         if not late:
             return []
         replay = _build_worker_runtime(self._specs)

@@ -310,18 +310,10 @@ class TestShardedBlobParity:
         single.register(QUERY_ANY, name="q")
         expected = canonical(single.run(events))
 
-        for ship_serialized in (True, False):
-            runtime = ShardedRuntime(
-                workers=2,
-                lateness=0.0,
-                ship_interval=8,
-                ship_serialized=ship_serialized,
-            )
-            runtime.register(QUERY_ANY, name="q")
-            records = runtime.run(events)
-            assert canonical(records) == expected, (
-                f"sharded results diverge with ship_serialized={ship_serialized}"
-            )
+        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
+        runtime.register(QUERY_ANY, name="q")
+        records = runtime.run(events)
+        assert canonical(records) == expected, "blob-shipped results diverge"
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -344,7 +336,6 @@ class TestShardedBlobParity:
             lateness=0.0,
             ship_interval=8,
             max_restarts=2,
-            ship_serialized=True,
         )
         runtime.register(QUERY_ANY, name="q")
 
@@ -374,9 +365,7 @@ class TestShardedBlobParity:
         single.register(QUERY_ANY, name="q")
         expected = canonical(single.run(events))
 
-        runtime = ShardedRuntime(
-            workers=2, lateness=0.0, ship_interval=8, ship_serialized=True
-        )
+        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY_ANY, name="q")
         rng = random.Random(slot_seed)
         records = []

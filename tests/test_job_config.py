@@ -253,6 +253,9 @@ class TestUnknownKeys:
     def test_unknown_key_without_a_close_match_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):
             JobConfig.from_dict({"zzz": 1})
+        # a removed knob is an unknown key like any other
+        with pytest.raises(ConfigError, match="valid keys"):
+            JobConfig.from_dict({"batch": {"ship_serialized": False}})
 
     def test_non_mapping_sections_are_rejected(self):
         with pytest.raises(ConfigError, match="must be an object"):

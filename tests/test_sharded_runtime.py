@@ -24,6 +24,7 @@ from repro.streaming.ingest import PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
 from repro.streaming.sharded import (
     ShardedRuntime,
+    _decode_record_blob,
     _QuerySpec,
     _worker_loop,
 )
@@ -472,8 +473,10 @@ class TestWorkerLoopInProcess:
         assert ready == ("ok", -1, 0, "ready", 0.0)
         ok, epoch, shard, records, _ = outbox.get_nowait()
         assert (ok, epoch, shard, records) == ("ok", 0, 0, [])
-        ok, epoch, shard, records, _ = outbox.get_nowait()
+        ok, epoch, shard, blob, _ = outbox.get_nowait()
         assert (ok, epoch) == ("ok", 1)
+        # non-empty acknowledgements ship their records as one blob
+        records = _decode_record_blob(blob)
         assert [r.result.trend_count for r in records] == [1]
         assert all(math.isinf(r.watermark) for r in records)
 
