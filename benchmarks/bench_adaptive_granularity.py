@@ -77,30 +77,50 @@ def selectivity_shift_workload(seed=7):
     return sort_events(events)
 
 
-def _run(events, granularity=None, replan=None, rounds=2):
-    """Best-of-``rounds`` throughput of one leg (tames scheduler noise)."""
-    best = None
-    for _ in range(rounds):
-        runtime = StreamingRuntime(lateness=5.0, replan=replan)
-        runtime.register(QUERY, name="q", granularity=granularity)
-        started = time.perf_counter()
-        records = runtime.run(events)
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best[2]:
-            best = (runtime, records, elapsed)
-    runtime, records, elapsed = best
-    return runtime, records, len(events) / elapsed
+#: the three plans, as StreamingRuntime / register keyword arguments
+LEGS = {
+    "type": ({}, {"granularity": "type"}),
+    "event": ({}, {"granularity": "event"}),
+    "adaptive": ({"replan": REPLAN}, {}),
+}
+
+#: interleaved cycles: a host-speed swing during one cycle hits every plan
+CYCLES = 3
+
+
+def _leg(events, runtime_options, register_options):
+    """One wall-clock run of one plan: (runtime, records, elapsed seconds)."""
+    runtime = StreamingRuntime(lateness=5.0, **runtime_options)
+    runtime.register(QUERY, name="q", **register_options)
+    started = time.perf_counter()
+    records = runtime.run(events)
+    return runtime, records, time.perf_counter() - started
+
+
+def _run_interleaved(events):
+    """Each plan's fastest run over ``CYCLES`` cycles of type, event, adaptive.
+
+    Interleaving spreads a slow stretch of the host over all three plans
+    instead of letting it land on one, and the best of the cycles drops it.
+    Throughput stays wall-clock ev/s.
+    """
+    best = {}
+    for _ in range(CYCLES):
+        for name, (runtime_options, register_options) in LEGS.items():
+            leg = _leg(events, runtime_options, register_options)
+            if name not in best or leg[2] < best[name][2]:
+                best[name] = leg
+    return {
+        name: (runtime, records, len(events) / elapsed)
+        for name, (runtime, records, elapsed) in best.items()
+    }
 
 
 def test_replanning_beats_both_static_plans(benchmark, results_dir):
     events = selectivity_shift_workload()
 
     def run():
-        return {
-            "type": _run(events, granularity="type"),
-            "event": _run(events, granularity="event"),
-            "adaptive": _run(events, replan=REPLAN),
-        }
+        return _run_interleaved(events)
 
     legs = benchmark.pedantic(run, rounds=1, iterations=1)
 

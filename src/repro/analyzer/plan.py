@@ -12,7 +12,7 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.classifier import PredicateClassification, classify_predicates
@@ -27,6 +27,40 @@ from repro.events.event import Event
 from repro.query.aggregates import AggregateSpec
 from repro.query.query import Query
 from repro.query.semantics import Semantics
+
+
+#: predecessor lookup kinds, see :class:`PredecessorLookup`
+SCAN, TOTAL, ORDERED = "scan", "total", "ordered"
+
+#: operators whose qualifying predecessors form one range of sorted keys
+_RANGE_OPERATORS = frozenset(("<", "<=", ">", ">="))
+
+
+class PredecessorLookup(NamedTuple):
+    """How the executor finds the qualifying stored events of one variable pair.
+
+    * ``ORDERED`` -- the pair's only adjacent predicate is
+      ``P.key op NEXT(S).probe`` with a range operator: the qualifying
+      predecessors are one range of the stored events sorted by ``key``.
+    * ``TOTAL`` -- no adjacent predicate under MIXED granularity: every
+      earlier stored event qualifies.
+    * ``SCAN`` -- everything else (``=``, ``!=``, opaque conditions, several
+      predicates, and predicate-free pairs under EVENT granularity, which
+      is GRETA's strategy): test every stored event.
+    """
+
+    kind: str
+    #: ORDERED: predecessor attribute the stored events are sorted by
+    key: Optional[str] = None
+    #: ORDERED: one of ``<``, ``<=``, ``>``, ``>=``
+    op: Optional[str] = None
+    #: ORDERED: successor attribute compared with ``key``
+    probe: Optional[str] = None
+
+    def describe(self) -> str:
+        if self.kind == ORDERED:
+            return f"{self.kind} ({self.key} {self.op} NEXT.{self.probe})"
+        return self.kind
 
 
 class CograPlan:
@@ -82,6 +116,15 @@ class CograPlan:
             for succ in self.automaton.variables
             for pred in self.automaton.pred_types(succ)
         }
+        #: successor variable -> ((predecessor variable, lookup), ...) in
+        #: ``pred_types`` order
+        self.predecessor_lookups = {
+            succ: tuple(
+                (pred, self._classify_pair(self._adjacent_by_pair[(pred, succ)]))
+                for pred in self.automaton.pred_types(succ)
+            )
+            for succ in self.automaton.variables
+        }
         # event types whose candidate variables are event-independent (no
         # local predicate on any variable of the type): the by far most
         # common case, answered with one dict lookup on the hot path
@@ -112,6 +155,18 @@ class CograPlan:
                 f"adjacent predicates; allowed: {[g.value for g in allowed]}"
             )
         return forced
+
+    def _classify_pair(self, predicates: Tuple) -> PredecessorLookup:
+        """The lookup kind of one (predecessor, successor) variable pair."""
+        if not predicates:
+            if self.granularity is Granularity.MIXED:
+                return PredecessorLookup(TOTAL)
+            return PredecessorLookup(SCAN)
+        if len(predicates) == 1 and predicates[0].comparison_terms is not None:
+            key, op, probe = predicates[0].comparison_terms
+            if op in _RANGE_OPERATORS:
+                return PredecessorLookup(ORDERED, key, op, probe)
+        return PredecessorLookup(SCAN)
 
     # -- event binding -----------------------------------------------------------
 
@@ -205,10 +260,20 @@ class CograPlan:
             f"Te (event)  : {sorted(self.event_grained)}",
             f"targets     : {[f'{v}.{a}' if a else v for v, a in self.targets] or ['COUNT(*) only']}",
             f"partitions  : {list(self.partition_attributes) or 'none'}",
+            f"lookups     : {self._describe_lookups()}",
             self.automaton.describe(),
             self.classification.describe(),
         ]
         return "\n".join(lines)
+
+    def _describe_lookups(self) -> str:
+        lookups = [
+            f"{pred}->{succ} {lookup.describe()}"
+            for succ, pairs in self.predecessor_lookups.items()
+            for pred, lookup in pairs
+            if pred in self.event_grained
+        ]
+        return ", ".join(sorted(lookups)) or "none (no stored events)"
 
     def __repr__(self) -> str:
         return (

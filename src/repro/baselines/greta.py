@@ -14,6 +14,11 @@ an event to all of its predecessor events.  Consequently
 
 Per Table 9, GRETA supports Kleene closure and predicates on adjacent
 events but only the skip-till-any-match semantics.
+
+This baseline deliberately keeps the scan over every stored node: it
+models the paper's competitor, so the indexed predecessor lookup of
+:mod:`repro.core.predecessor_index` is not applied here.  That also makes
+it the scan reference the index is tested against.
 """
 
 from __future__ import annotations

@@ -13,23 +13,34 @@ In the extreme case ``Tt = ∅`` the aggregator degenerates to event-grained
 (GRETA-like) aggregation, which is exactly what the granularity selector
 reports as :class:`~repro.analyzer.granularity.Granularity.EVENT`.
 
-Time complexity is ``O(n * (t + n_e))`` and space ``Θ(t + n_e)`` where ``t``
-is the number of type-grained variables and ``n_e`` the number of stored
-events (Theorems 5.2 and 5.3).
+The paper's bound is ``O(n * (t + n_e))`` time and ``Θ(t + n_e)`` space
+where ``t`` is the number of type-grained variables and ``n_e`` the number
+of stored events (Theorems 5.2 and 5.3): each event tests every stored
+event of a ``Te`` predecessor.  Here the qualifying predecessors are found
+through :mod:`repro.core.predecessor_index`: a predicate-free ``Te -> x``
+pair costs one merge of a running total, and a pair with one range
+predicate (``A.price > NEXT(A).price``) ``O(n_e / BLOCK + BLOCK)`` merges, so
+``O(n * (t + n_e / BLOCK + BLOCK))`` time at unchanged space; other pairs
+keep the scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import TrendAccumulator
 from repro.core.base import SubstreamAggregator
+from repro.core.predecessor_index import PredecessorIndex
 from repro.events.event import Event
 
 
 class MixedGrainedAggregator(SubstreamAggregator):
     """Maintains type-grained cells for ``Tt`` and per-event cells for ``Te``."""
+
+    #: built on the first lookup against stored events, so sub-streams that
+    #: never look one up pay nothing (restored aggregators start without)
+    _index: Optional[PredecessorIndex] = None
 
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
@@ -64,15 +75,18 @@ class MixedGrainedAggregator(SubstreamAggregator):
         staged: List[Tuple[str, TrendAccumulator]] = []
         for variable in variables:
             predecessor = TrendAccumulator.zero(plan.targets)
-            for predecessor_variable in plan.automaton.pred_types(variable):
+            for predecessor_variable, lookup in plan.predecessor_lookups[variable]:
                 if predecessor_variable in self._type_grained:
                     predecessor.merge(self._type_cells[predecessor_variable])
-                else:
-                    for stored_event, stored_cell in self._event_cells[predecessor_variable]:
-                        if plan.adjacency_satisfied(
-                            stored_event, predecessor_variable, event, variable
-                        ):
-                            predecessor.merge(stored_cell)
+                    continue
+                nodes = self._event_cells[predecessor_variable]
+                if not nodes:
+                    continue
+                if self._index is None:
+                    self._index = PredecessorIndex(plan)
+                self._index.fold(
+                    predecessor, nodes, predecessor_variable, event, variable, lookup
+                )
             cell = predecessor.extended(event, variable)
             if plan.is_start(variable):
                 cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))

@@ -17,7 +17,7 @@ determine the granularity at which COGRA maintains aggregates:
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.events.event import Event
 
@@ -160,6 +160,9 @@ class AdjacentPredicate(Predicate):
         self.description = description or (
             f"adjacent predicate {predecessor_variable} -> {successor_variable}"
         )
+        #: ``(predecessor attribute, op, successor attribute)`` when built by
+        #: :func:`comparison`; ``None`` for an opaque condition
+        self.comparison_terms: Optional[Tuple[str, str, str]] = None
 
     def evaluate(self, predecessor: Event, successor: Event) -> bool:
         """Return True when the pair satisfies the predicate."""
@@ -203,6 +206,8 @@ def comparison(
         f"{predecessor_variable}.{predecessor_attribute} {op} "
         f"NEXT({successor_variable}).{successor_attribute}"
     )
-    return AdjacentPredicate(
+    predicate = AdjacentPredicate(
         predecessor_variable, successor_variable, condition, description
     )
+    predicate.comparison_terms = (predecessor_attribute, op, successor_attribute)
+    return predicate
