@@ -103,10 +103,10 @@ class CostEstimate:
         )
 
 
-#: Storage units of one accumulator cell: the trend count plus the four
-#: per-target scalars mirrors ``TrendAccumulator.storage_units``.
-def _cell_units(target_count: int) -> int:
-    return 1 + 4 * target_count
+def _cell_units(plan: CograPlan) -> int:
+    """Storage units of one accumulator cell: the trend count plus the slots
+    of the plan's layout, as ``TrendAccumulator.storage_units`` counts them."""
+    return 1 + plan.layout.width
 
 
 def estimate_two_step_trends(
@@ -151,8 +151,7 @@ def estimate_cost(
     """
     plan = query_or_plan if isinstance(query_or_plan, CograPlan) else plan_query(query_or_plan)
     length = plan.automaton.length
-    target_count = len(plan.targets)
-    cell = _cell_units(target_count)
+    cell = _cell_units(plan)
     type_count = len(plan.type_grained)
     event_variable_count = len(plan.event_grained)
     stored_per_variable = (

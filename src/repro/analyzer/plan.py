@@ -5,14 +5,15 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 * the pattern automaton (predecessor-type relation, start/end variables),
 * the predicate classification,
 * the selected granularity together with the variable split ``Tt`` / ``Te``,
-* the aggregation targets derived from the RETURN clause, and
+* the accumulator layout derived from the RETURN clause (its targets and
+  the scalars kept for each), and
 * fast helpers used on the per-event hot path (variable binding, local
   predicate filtering, adjacency checks).
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.classifier import PredicateClassification, classify_predicates
@@ -24,7 +25,6 @@ from repro.analyzer.granularity import (
 )
 from repro.errors import PlanningError
 from repro.events.event import Event
-from repro.query.aggregates import AggregateSpec
 from repro.query.query import Query
 from repro.query.semantics import Semantics
 
@@ -101,9 +101,13 @@ class CograPlan:
             # EVENT granularity stores every matched event (GRETA's strategy).
             self.type_grained = frozenset()
             self.event_grained = frozenset(self.automaton.variables)
-        self.targets: Tuple[Tuple[str, Optional[str]], ...] = _aggregation_targets(
-            query.aggregates
-        )
+        # imported here: the repro.core package imports this module
+        from repro.core.aggregate_state import layout_for
+
+        #: the accumulator layout of the RETURN clause; it is the tuple of
+        #: ``(variable, attribute)`` targets, hence also ``targets``
+        self.layout = layout_for(query.aggregates)
+        self.targets = self.layout
         self.partition_attributes: Tuple[str, ...] = self.classification.partition_attributes
 
         # Pre-computed per-variable tables for the hot path.
@@ -280,28 +284,6 @@ class CograPlan:
             f"CograPlan({self.query.name!r}, granularity={self.granularity.value}, "
             f"Tt={sorted(self.type_grained)}, Te={sorted(self.event_grained)})"
         )
-
-
-def _aggregation_targets(
-    aggregates: Tuple[AggregateSpec, ...]
-) -> Tuple[Tuple[str, Optional[str]], ...]:
-    """Distinct ``(variable, attribute)`` pairs the accumulators must track."""
-    targets: List[Tuple[str, Optional[str]]] = []
-    for spec in aggregates:
-        target = spec.target
-        if target is None:
-            continue
-        variable, attribute = target
-        if spec.function.needs_attribute:
-            pair = (variable, attribute)
-        else:
-            pair = (variable, None)
-        if pair not in targets:
-            targets.append(pair)
-        # AVG needs the per-variable event count as well as the sum.
-        if spec.function.value == "AVG" and (variable, None) not in targets:
-            targets.append((variable, None))
-    return tuple(targets)
 
 
 def plan_query(query: Query, forced_granularity: Optional[Granularity] = None) -> CograPlan:

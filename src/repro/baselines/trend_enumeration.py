@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.baselines.base import contiguous_adjacent, next_match_adjacent
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import TrendAccumulator, full_layout
 from repro.core.partitioner import filter_local_predicates, substreams, window_bounds
 from repro.core.results import GroupResult
 from repro.errors import UnsupportedQueryError
@@ -178,14 +178,19 @@ def enumerate_trends(
 def aggregate_trends(
     plan: CograPlan, events: Sequence[Event], trends: Iterable[Trend]
 ) -> TrendAccumulator:
-    """Aggregate explicitly enumerated trends (reference two-step aggregation)."""
-    total = TrendAccumulator.zero(plan.targets)
+    """Aggregate explicitly enumerated trends (reference two-step aggregation).
+
+    The accumulators use the full layout of the plan's targets, not the
+    plan's lean one, so the oracle does not share COGRA's slot selection.
+    """
+    targets = full_layout(plan.targets)
+    total = TrendAccumulator.zero(targets)
     for trend in trends:
         accumulator: Optional[TrendAccumulator] = None
         for index, variable in trend:
             event = events[index]
             if accumulator is None:
-                accumulator = TrendAccumulator.singleton(event, variable, plan.targets)
+                accumulator = TrendAccumulator.singleton(event, variable, targets)
             else:
                 accumulator = accumulator.extended(event, variable)
         if accumulator is not None:

@@ -19,6 +19,8 @@ from repro.errors import StreamOrderError
 from repro.events.event import Event
 from repro.query.query import Query
 
+_NO_SEQUENCE = float("-inf")
+
 
 class QueryExecutor:
     """Evaluates one event trend aggregation query over a stream.
@@ -61,6 +63,9 @@ class QueryExecutor:
         #: so expiry checks can bail out in O(1) when nothing can close
         self._min_open_window: Optional[int] = None
         self._last_time: Optional[float] = None
+        #: sequence number of the last event processed at ``_last_time``;
+        #: ``-inf`` when none was (after ``advance_time`` or a restore)
+        self._last_sequence: float = _NO_SEQUENCE
         self._events_seen = 0
         self._relevant_types = frozenset(
             self.plan.automaton.variable_types[variable]
@@ -76,11 +81,9 @@ class QueryExecutor:
         grouping key (the streaming runtime routes one event to several
         executors sharing the same partition attributes) skip recomputing it.
         """
-        if self._last_time is not None and event.time < self._last_time:
-            raise StreamOrderError(
-                f"event at time {event.time} arrived after time {self._last_time}"
-            )
+        self._check_order(event)
         self._last_time = event.time
+        self._last_sequence = event.sequence
         self._events_seen += 1
 
         count_window = self._count_window
@@ -164,18 +167,17 @@ class QueryExecutor:
             for event in events:
                 emitted.extend(self.process(event, partition_key=partition_key))
             return emitted
-        if self._last_time is not None and first_time < self._last_time:
-            raise StreamOrderError(
-                f"event at time {first_time} arrived after time {self._last_time}"
-            )
-        previous = first_time
+        self._check_order(events[0])
+        previous = events[0].order_key
         for event in events:
-            if event.time < previous:
+            order = event.order_key
+            if order < previous:
                 raise StreamOrderError(
-                    f"event at time {event.time} arrived after time {previous}"
+                    f"event at {order} (time, sequence) arrived after {previous}"
                 )
-            previous = event.time
+            previous = order
         self._last_time = last_time
+        self._last_sequence = events[-1].sequence
         self._events_seen += count
         live = [event for event in events if not self._is_filtered_out(event)]
         if not live:
@@ -242,6 +244,7 @@ class QueryExecutor:
         """
         if self._last_time is None or time > self._last_time:
             self._last_time = time
+            self._last_sequence = _NO_SEQUENCE
         return self._close_expired_windows(time)
 
     # -- inspection ------------------------------------------------------------------
@@ -274,6 +277,20 @@ class QueryExecutor:
         )
 
     # -- internals ---------------------------------------------------------------------
+
+    def _check_order(self, event: Event) -> None:
+        """Reject ``event`` when its ``(time, sequence)`` precedes the last one."""
+        last_time = self._last_time
+        if last_time is None:
+            return
+        time = event.time
+        if time < last_time or (
+            time == last_time and event.sequence < self._last_sequence
+        ):
+            raise StreamOrderError(
+                f"event at {event.order_key} (time, sequence) arrived after "
+                f"{(last_time, self._last_sequence)}"
+            )
 
     def _is_filtered_out(self, event: Event) -> bool:
         """Local predicates filter events of pattern types (Section 7).

@@ -63,23 +63,41 @@ def restore_event(state: Dict[str, object]) -> Event:
 
 
 def snapshot_accumulator(accumulator: TrendAccumulator) -> Dict[str, object]:
-    """JSON-safe representation of one trend accumulator."""
+    """JSON-safe representation of one trend accumulator.
+
+    One ``[count, sum, min, max]`` per target whatever the layout keeps:
+    scalars the layout does not keep are written as ``0, 0, None, None``.
+    """
     return {
         "targets": [list(target) for target in accumulator.targets],
         "trend_count": accumulator.trend_count,
         # per-target [occurrence count, sum, min, max], aligned with targets
-        "states": [list(accumulator._states[target]) for target in accumulator.targets],
+        "states": accumulator.target_states(),
     }
 
 
-def restore_accumulator(state: Dict[str, object]) -> TrendAccumulator:
-    """Rebuild the accumulator written by :func:`snapshot_accumulator`."""
+def restore_accumulator(state: Dict[str, object], layout) -> TrendAccumulator:
+    """Rebuild the accumulator written by :func:`snapshot_accumulator`.
+
+    The cell is built in ``layout``, the restoring plan's layout, whatever
+    layout wrote the snapshot, so it merges with the plan's other cells; the
+    snapshot must track the same targets.
+    """
     targets = tuple((variable, attribute) for variable, attribute in state["targets"])
-    accumulator = TrendAccumulator(targets)
-    accumulator.trend_count = int(state["trend_count"])
-    for target, cell in zip(targets, state["states"]):
-        accumulator._states[target] = list(cell)
-    return accumulator
+    states = state["states"]
+    if targets != tuple(layout) or len(states) != len(targets):
+        raise CheckpointError(
+            f"checkpointed accumulator tracks {list(targets)} with "
+            f"{len(states)} states but the plan tracks {list(layout)}; "
+            "was the query changed?"
+        )
+    if any(len(cell) != 4 for cell in states):
+        raise CheckpointError(
+            "checkpointed accumulator states must be [count, sum, min, max]"
+        )
+    return TrendAccumulator.from_target_states(
+        layout, int(state["trend_count"]), states
+    )
 
 
 def _snapshot_optional_event(event: Optional[Event]):
@@ -100,10 +118,12 @@ def _snapshot_node_lists(nodes: Dict[str, List[Tuple[Event, TrendAccumulator]]])
     }
 
 
-def _restore_node_lists(state) -> Dict[str, List[Tuple[Event, TrendAccumulator]]]:
+def _restore_node_lists(
+    state, layout
+) -> Dict[str, List[Tuple[Event, TrendAccumulator]]]:
     return {
         variable: [
-            (restore_event(event_state), restore_accumulator(cell_state))
+            (restore_event(event_state), restore_accumulator(cell_state, layout))
             for event_state, cell_state in entries
         ]
         for variable, entries in state.items()
@@ -125,10 +145,11 @@ def _extract_pattern(aggregator) -> Dict[str, object]:
 
 
 def _apply_pattern(aggregator, state) -> None:
+    layout = aggregator.plan.layout
     aggregator._last_event = _restore_optional_event(state["last_event"])
     aggregator._last_variable = state["last_variable"]
-    aggregator._last_cell = restore_accumulator(state["last_cell"])
-    aggregator._final = restore_accumulator(state["final"])
+    aggregator._last_cell = restore_accumulator(state["last_cell"], layout)
+    aggregator._final = restore_accumulator(state["final"], layout)
 
 
 def _extract_type(aggregator) -> Dict[str, object]:
@@ -141,8 +162,10 @@ def _extract_type(aggregator) -> Dict[str, object]:
 
 
 def _apply_type(aggregator, state) -> None:
+    layout = aggregator.plan.layout
     aggregator._cells = {
-        variable: restore_accumulator(cell) for variable, cell in state["cells"].items()
+        variable: restore_accumulator(cell, layout)
+        for variable, cell in state["cells"].items()
     }
 
 
@@ -158,12 +181,13 @@ def _extract_mixed(aggregator) -> Dict[str, object]:
 
 
 def _apply_mixed(aggregator, state) -> None:
+    layout = aggregator.plan.layout
     aggregator._type_cells = {
-        variable: restore_accumulator(cell)
+        variable: restore_accumulator(cell, layout)
         for variable, cell in state["type_cells"].items()
     }
-    aggregator._event_cells = _restore_node_lists(state["event_cells"])
-    aggregator._final = restore_accumulator(state["final"])
+    aggregator._event_cells = _restore_node_lists(state["event_cells"], layout)
+    aggregator._final = restore_accumulator(state["final"], layout)
 
 
 def _extract_event(aggregator) -> Dict[str, object]:
@@ -174,8 +198,9 @@ def _extract_event(aggregator) -> Dict[str, object]:
 
 
 def _apply_event(aggregator, state) -> None:
-    aggregator._nodes = _restore_node_lists(state["nodes"])
-    aggregator._final = restore_accumulator(state["final"])
+    layout = aggregator.plan.layout
+    aggregator._nodes = _restore_node_lists(state["nodes"], layout)
+    aggregator._final = restore_accumulator(state["final"], layout)
 
 
 def _extract_negation_type(aggregator) -> Dict[str, object]:
@@ -192,11 +217,13 @@ def _extract_negation_type(aggregator) -> Dict[str, object]:
 
 
 def _apply_negation_type(aggregator, state) -> None:
+    layout = aggregator.plan.layout
     aggregator._full = {
-        variable: restore_accumulator(cell) for variable, cell in state["full"].items()
+        variable: restore_accumulator(cell, layout)
+        for variable, cell in state["full"].items()
     }
     aggregator._compatible = {
-        (int(index), variable): restore_accumulator(cell)
+        (int(index), variable): restore_accumulator(cell, layout)
         for index, variable, cell in state["compatible"]
     }
 
@@ -312,6 +339,8 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
     executor._events_seen = int(state["events_seen"])
     last_time = state["last_time"]
     executor._last_time = None if last_time is None else float(last_time)
+    # the snapshot keeps no sequence number: accept any at ``last_time``
+    executor._last_sequence = float("-inf")
     executor._aggregators = {}
     executor._window_groups = {}
     # after a granularity migration still-open windows keep aggregators of

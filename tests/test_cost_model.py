@@ -15,7 +15,7 @@ from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
 from repro.datasets.queries import running_example_query
 from repro.events.event import Event
-from repro.query.aggregates import count_star
+from repro.query.aggregates import count_star, max_of, min_of
 from repro.query.ast import atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import comparison
@@ -148,6 +148,23 @@ class TestEstimateCost:
         for event in stream:
             engine.process(event)
         assert engine.storage_units() == estimate.estimated_storage_units
+
+    def test_storage_estimate_counts_only_the_kept_aggregates(self):
+        """MIN and MAX cells hold three scalars, in the estimate and at run time."""
+        query = (
+            QueryBuilder()
+            .pattern(sequence(kleene_plus("A"), atom("B")))
+            .semantics("skip-till-any-match")
+            .aggregate(count_star())
+            .aggregate(min_of("A", "x"))
+            .aggregate(max_of("A", "x"))
+            .build()
+        )
+        estimate = estimate_cost(query, events_per_window=8)
+        engine = CograEngine(query)
+        for time, event_type in enumerate("ABAB"):
+            engine.process(Event(event_type, float(time), {"x": time}))
+        assert engine.storage_units() == estimate.estimated_storage_units == 2 * 3
 
 
 class TestCompareGranularities:

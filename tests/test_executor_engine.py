@@ -111,6 +111,50 @@ class TestStreamingBehaviour:
         with pytest.raises(StreamOrderError):
             executor.process(Event("A", 5.0))
 
+    def test_equal_time_with_lower_sequence_rejected(self):
+        executor = QueryExecutor(simple_query())
+        executor.process(Event("A", 1.0, sequence=5))
+        executor.process(Event("A", 1.0, sequence=5))  # equal keys are in order
+        with pytest.raises(StreamOrderError):
+            executor.process(Event("A", 1.0, sequence=4))
+        with pytest.raises(StreamOrderError):
+            executor.process_batch([Event("A", 1.0, sequence=3), Event("A", 2.0)])
+        with pytest.raises(StreamOrderError):
+            executor.process_batch(
+                [Event("A", 2.0, sequence=7), Event("A", 2.0, sequence=6)]
+            )
+
+    def test_order_key_regression_of_the_oracle_example(self):
+        """Out of ``(time, sequence)`` order the oracle counted 3 trends, the
+        online approaches 2; in order all three agree."""
+        from repro.baselines import GretaApproach, TrendOracle
+        from repro.query.parser import parse_query
+
+        query = parse_query(
+            "RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE A.x > NEXT(A).x "
+            "SEMANTICS skip-till-any-match"
+        )
+        first = Event("A", 0.0, {"x": 0}, sequence=1)
+        second = Event("A", 0.0, {"x": 1}, sequence=0)
+        closing = Event("B", 1.0, sequence=2)
+        with pytest.raises(StreamOrderError):
+            CograEngine(query).run([first, second, closing])
+        ordered = [second, first, closing]
+        counts = {
+            total_trend_count(CograEngine(query).run(ordered)),
+            total_trend_count(GretaApproach().run(query, ordered)),
+            total_trend_count(TrendOracle(query).run(ordered)),
+        }
+        assert counts == {3}
+
+    def test_advance_time_accepts_any_sequence_at_the_new_time(self):
+        executor = QueryExecutor(simple_query())
+        executor.process(Event("A", 1.0, sequence=9))
+        executor.advance_time(2.0)
+        executor.process(Event("A", 2.0, sequence=0))
+        with pytest.raises(StreamOrderError):
+            executor.process(Event("A", 1.5, sequence=10))
+
     def test_local_predicate_filtering_happens_before_aggregation(self):
         query = (
             QueryBuilder()

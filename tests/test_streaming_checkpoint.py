@@ -11,19 +11,25 @@ import random
 
 import pytest
 
-from repro.core.aggregate_state import TrendAccumulator
-from repro.errors import CheckpointError
+from repro.core.aggregate_state import TrendAccumulator, full_layout, layout_for
+from repro.core.engine import CograEngine
+from repro.core.executor import QueryExecutor
+from repro.errors import CheckpointError, StreamOrderError
 from repro.events.event import Event
 from repro.events.stream import sort_events
+from repro.query.aggregates import avg, count_star, count_type, max_of, min_of, sum_of
 from repro.streaming.checkpoint import (
     load_checkpoint,
     restore_accumulator,
     restore_event,
+    restore_executor,
     save_checkpoint,
     snapshot_accumulator,
     snapshot_aggregator,
     snapshot_event,
+    snapshot_executor,
 )
+from repro.query.parser import parse_query
 from repro.streaming.runtime import StreamingRuntime
 
 QUERIES = {
@@ -296,8 +302,120 @@ class TestPrimitiveSnapshots:
             TrendAccumulator.singleton(Event("A", 2.0, {"v": 9}), "A", targets)
         )
         restored = restore_accumulator(
-            json.loads(json.dumps(snapshot_accumulator(accumulator)))
+            json.loads(json.dumps(snapshot_accumulator(accumulator))),
+            accumulator.layout,
         )
-        assert restored.trend_count == accumulator.trend_count
-        assert restored.targets == accumulator.targets
-        assert restored._states == accumulator._states
+        assert restored.layout is accumulator.layout
+        assert snapshot_accumulator(restored) == snapshot_accumulator(accumulator)
+        for spec in (
+            count_star(),
+            count_type("A"),
+            sum_of("A", "v"),
+            avg("A", "v"),
+            min_of("A", "v"),
+            max_of("A", "v"),
+        ):
+            assert restored.result_value(spec) == accumulator.result_value(spec)
+
+
+#: every aggregate function, several on one target
+ALL_AGGREGATES = "COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v), MAX(B.v)"
+
+
+def accumulator_states(node):
+    """Every accumulator snapshot inside a checkpoint tree."""
+    if isinstance(node, dict):
+        if "states" in node and "targets" in node:
+            yield node
+        for value in node.values():
+            yield from accumulator_states(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from accumulator_states(value)
+
+
+class TestAccumulatorLayouts:
+    @pytest.mark.parametrize(
+        "name, granularity",
+        [
+            ("pattern", None),
+            ("type", None),
+            ("mixed", None),
+            ("mixed", "event"),
+            ("negation", None),
+        ],
+    )
+    def test_full_layout_snapshot_restores_into_a_lean_plan(self, name, granularity):
+        """A checkpoint written with four scalars per target (the full
+        layout) finishes byte-identical to an uninterrupted lean run."""
+        text = QUERIES[name].replace("COUNT(*)", ALL_AGGREGATES, 1)
+        rng = random.Random(3)
+        events = sort_events(
+            Event(
+                rng.choice("ABC"),
+                rng.uniform(0.0, 80.0),
+                {"g": rng.choice("xy"), "v": rng.uniform(-5.0, 5.0)},
+            )
+            for _ in range(160)
+        )
+        uninterrupted = build_runtime(text, granularity).run(events)
+
+        engine = CograEngine(parse_query(text), granularity=granularity)
+        engine.plan.layout = engine.plan.targets = full_layout(engine.plan.targets)
+        engine.reset()
+        first = StreamingRuntime(lateness=3.0)
+        first.register(engine, name="q")
+        records = []
+        for event in events[:90]:
+            records.extend(first.process(event))
+        state = json.loads(json.dumps(first.checkpoint()))
+        # the full layout writes a count for every target, the lean one only
+        # for (A, None)
+        assert any(
+            target == ["A", "v"] and cell[0] > 0
+            for snapshot in accumulator_states(state)
+            for target, cell in zip(snapshot["targets"], snapshot["states"])
+        )
+
+        resumed = build_runtime(text, granularity)
+        resumed.restore(state)
+        for event in events[90:]:
+            records.extend(resumed.process(event))
+        records.extend(resumed.flush())
+        assert repr(emission_signature(records)) == repr(
+            emission_signature(uninterrupted)
+        )
+
+    def test_lean_snapshot_keeps_the_json_shape(self):
+        layout = layout_for(parse_query(QUERIES["type"]).aggregates)
+        accumulator = TrendAccumulator.singleton(Event("A", 1.0, {"v": 3}), "A", layout)
+        assert snapshot_accumulator(accumulator) == {
+            "targets": [["A", "v"]],
+            "trend_count": 1,
+            "states": [[0, 0, None, 3]],
+        }
+
+    def test_restore_rejects_other_targets(self):
+        state = snapshot_accumulator(
+            TrendAccumulator.singleton(Event("A", 1.0, {"v": 3}), "A", (("A", "v"),))
+        )
+        count_only = layout_for(parse_query(QUERIES["pattern"]).aggregates)
+        with pytest.raises(CheckpointError):
+            restore_accumulator(state, count_only)
+        state["states"] = [[1, 3, 3]]
+        with pytest.raises(CheckpointError):
+            restore_accumulator(state, full_layout((("A", "v"),)))
+
+    def test_restore_without_a_last_sequence_accepts_the_last_time(self):
+        query = parse_query(QUERIES["type"])
+        executor = QueryExecutor(query)
+        executor.process(Event("A", 4.0, {"g": "x", "v": 1}, sequence=8))
+        state = json.loads(json.dumps(snapshot_executor(executor)))
+        assert set(state) == {
+            "query", "granularity", "events_seen", "last_time", "aggregators"
+        }
+        restored = QueryExecutor(query)
+        restore_executor(restored, state)
+        restored.process(Event("A", 4.0, {"g": "x", "v": 2}, sequence=0))
+        with pytest.raises(StreamOrderError):
+            restored.process(Event("A", 3.0, {"g": "x", "v": 2}, sequence=9))
